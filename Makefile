@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race lint bench bench-smoke fault-smoke cache-smoke chaos-smoke serve-smoke persist-smoke adapter-smoke fleet-smoke paperbench check
+.PHONY: all build vet test test-race lint bench bench-smoke fault-smoke cache-smoke chaos-smoke serve-smoke persist-smoke adapter-smoke fleet-smoke servebench-test paperbench check
 
 all: check
 
@@ -123,6 +123,13 @@ fleet-smoke:
 	$(GO) test -race -count=1 ./internal/qcache/fleet/
 	$(GO) test -race -count=1 -run='TestLease|TestFollower|TestInbox|TestReadInboxes' ./internal/qcache/persist/
 	$(GO) test -race -count=1 -run='TestServerFleet|TestRunFleetShare|TestServerHealthzDegraded|TestLoadGenInvalidationMix' ./internal/server/
+
+# Serving-benchmark self-tests: the answer oracle, workload generators
+# and metric plumbing of servebench/, a nested module (repro/servebench)
+# that `go test ./...` at the root skips. Run offline with the same
+# toolchain settings as servebench/run.sh.
+servebench-test:
+	cd servebench && GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS= $(GO) test .
 
 paperbench:
 	$(GO) run ./cmd/paperbench -quick

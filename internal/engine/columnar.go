@@ -58,12 +58,15 @@ type colPool struct {
 	nBatches  atomic.Int64 // batches run through applyStepCol
 	nInterned atomic.Int64 // tuple values newly interned this execution
 	nReuses   atomic.Int64 // column buffers served from the free list
+	nCapSpill atomic.Int64 // values spilled because the interner cap refused them
 
-	// Spill table: values the process-wide interner's cap refused
-	// (SetInternerCap) get execution-local IDs at or above spillBase,
-	// resolving here instead. The table dies with the execution, so a
-	// tenant streaming unbounded distinct values pays for them only
-	// while its own query runs.
+	// Spill table: values that get execution-local IDs at or above
+	// spillBase, resolving here instead of through the process-wide
+	// interner — plan constants the interner has never seen (constID),
+	// and values the interner's cap refused (SetInternerCap). The table
+	// dies with the execution, so a query's fresh constants and a tenant
+	// streaming unbounded distinct values pay for them only while the
+	// query runs.
 	spillMu   sync.RWMutex
 	spillIDs  map[string]uint32
 	spillStrs []string
@@ -71,42 +74,71 @@ type colPool struct {
 
 func newColPool() *colPool { return &colPool{} }
 
-// internID resolves a value to an ID for this execution: the spill
-// table first — a value this execution already spilled must keep its
-// spill ID even if another execution interned it globally since — then
-// the global interner, interning under the cap, then a fresh spill
+// spilledID returns s's spill ID if this execution already spilled it.
+func (p *colPool) spilledID(s string) (uint32, bool) {
+	p.spillMu.RLock()
+	id, ok := p.spillIDs[s]
+	p.spillMu.RUnlock()
+	return id, ok
+}
+
+// spill assigns s an execution-local ID (or returns the one it already
+// has) and reports whether the entry is new.
+func (p *colPool) spill(s string) (uint32, bool) {
+	p.spillMu.Lock()
+	defer p.spillMu.Unlock()
+	if id, ok := p.spillIDs[s]; ok {
+		return id, false
+	}
+	if p.spillIDs == nil {
+		p.spillIDs = map[string]uint32{}
+	}
+	id := spillBase + uint32(len(p.spillStrs))
+	p.spillStrs = append(p.spillStrs, s)
+	p.spillIDs[s] = id
+	return id, true
+}
+
+// internID resolves a source value to an ID for this execution: the
+// spill table first — a value this execution already spilled must keep
+// its spill ID even if another execution interned it globally since —
+// then the global interner, interning under the cap, then a fresh spill
 // entry. fresh reports a new global intern (Profile.Batch accounting).
 func (p *colPool) internID(s string) (id uint32, fresh bool) {
-	p.spillMu.RLock()
-	if p.spillIDs != nil {
-		if id, ok := p.spillIDs[s]; ok {
-			p.spillMu.RUnlock()
-			return id, false
-		}
+	if id, ok := p.spilledID(s); ok {
+		return id, false
 	}
-	p.spillMu.RUnlock()
 	if id, ok := interned.lookup(s); ok {
 		return id, false
 	}
 	if id, fresh, ok := interned.tryID(s); ok {
 		return id, fresh
 	}
-	p.spillMu.Lock()
-	if p.spillIDs == nil {
-		p.spillIDs = map[string]uint32{}
+	id, added := p.spill(s)
+	if added {
+		p.nCapSpill.Add(1)
 	}
-	if id, ok := p.spillIDs[s]; ok {
-		p.spillMu.Unlock()
-		return id, false
-	}
-	id = spillBase + uint32(len(p.spillStrs))
-	p.spillStrs = append(p.spillStrs, s)
-	p.spillIDs[s] = id
-	p.spillMu.Unlock()
 	return id, false
 }
 
-// str resolves an ID assigned by internID back to its value.
+// constID resolves a plan constant: its global ID when some source
+// already returned the value, else an execution-local spill ID. Plan
+// constants never enter the process-wide interner — an ad-hoc query's
+// fresh constant would otherwise stay pinned for the process lifetime.
+// A source tuple carrying the same value later in this execution still
+// joins: internID consults the spill table first.
+func (p *colPool) constID(s string) uint32 {
+	if id, ok := p.spilledID(s); ok {
+		return id
+	}
+	if id, ok := interned.lookup(s); ok {
+		return id
+	}
+	id, _ := p.spill(s)
+	return id
+}
+
+// str resolves an ID assigned by internID or constID back to its value.
 func (p *colPool) str(id uint32) string {
 	if id < spillBase {
 		return interned.str(id)
@@ -115,13 +147,6 @@ func (p *colPool) str(id uint32) string {
 	s := p.spillStrs[id-spillBase]
 	p.spillMu.RUnlock()
 	return s
-}
-
-// spilled returns the number of values this execution spilled.
-func (p *colPool) spilled() int {
-	p.spillMu.RLock()
-	defer p.spillMu.RUnlock()
-	return len(p.spillStrs)
 }
 
 // getCol returns a column of length n, reusing a free buffer when one
@@ -192,7 +217,7 @@ func (p *colPool) batchProfile() BatchProfile {
 		BatchesProcessed: int(p.nBatches.Load()),
 		InternedValues:   int(p.nInterned.Load()),
 		ArenaReuses:      int(p.nReuses.Load()),
-		SpilledValues:    p.spilled(),
+		SpilledValues:    int(p.nCapSpill.Load()),
 	}
 }
 
@@ -286,8 +311,8 @@ type ruleProgram struct {
 // fails: structural problems (unbound inputs, unsafe heads) become lazy
 // errors raised exactly where the per-binding evaluator would raise
 // them. Compilation is cheap (linear in the plan) and runs once per
-// rule per execution. Constants intern through the execution's pool so
-// a capped interner spills them instead of growing the global table.
+// rule per execution. Constants resolve through the execution's pool
+// (constID) and never grow the process-wide interner.
 func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *ruleProgram {
 	prog := &ruleProgram{rule: q, steps: make([]stepProgram, len(steps))}
 	slotOf := map[string]int{}
@@ -312,8 +337,7 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			}
 			switch {
 			case t.IsConst():
-				id, _ := pool.internID(t.Name)
-				sp.inputs = append(sp.inputs, inputSrc{slot: -1, constID: id})
+				sp.inputs = append(sp.inputs, inputSrc{slot: -1, constID: pool.constID(t.Name)})
 			case t.IsVar():
 				if s, ok := slotOf[t.Name]; ok && bound[s] {
 					sp.inputs = append(sp.inputs, inputSrc{slot: s})
@@ -333,7 +357,7 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			switch {
 			case t.IsConst():
 				a.role = argConst
-				a.constID, _ = pool.internID(t.Name)
+				a.constID = pool.constID(t.Name)
 			case t.IsVar():
 				if s, ok := slotOf[t.Name]; ok && bound[s] {
 					a.role = argBound

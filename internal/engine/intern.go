@@ -1,14 +1,17 @@
 package engine
 
-// Process-wide value interning for columnar evaluation. Every constant
-// that flows through a plan — source tuple values, call inputs, compile
-// constants — maps to a dense uint32 ID, so binding batches hold machine
-// words instead of string headers and join keys compare in one
+// Process-wide value interning for columnar evaluation. Every value a
+// source returns maps to a dense uint32 ID, so binding batches hold
+// machine words instead of string headers and join keys compare in one
 // instruction. The table is append-only for the process lifetime:
 // source values recur across queries (that is what makes the semantic
 // caches pay off), so a per-execution table would re-intern the same
-// working set on every request. Identity of *data* versions is not the
-// interner's job — that is Catalog.Generation and Catalog.ID(); the
+// working set on every request. Plan constants are not interned: a
+// constant some source already returned reuses its ID, and any other
+// resolves through the execution-local spill table (colPool.constID),
+// because an ad-hoc query's fresh constant would otherwise stay pinned
+// here for the life of the process. Identity of *data* versions is not
+// the interner's job — that is Catalog.Generation and Catalog.ID(); the
 // interner only canonicalizes value bytes, and two catalogs sharing the
 // string "paris" sharing an ID is correct, not a collision.
 

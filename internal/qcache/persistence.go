@@ -208,8 +208,8 @@ func (c *Cache) restoreEntry(pe persist.Entry, catFP string) (*ansEntry, bool) {
 		bytes += int64(len(row.Key())) + 32
 	}
 	return &ansEntry{
-		key: pe.CoreKey + "\x1f" + catFP, catFP: catFP, core: cq,
-		arity: pe.Arity, rows: rows, bytes: bytes, created: created,
+		key: pe.CoreKey + "\x1f" + catFP, catFP: catFP, core: cq, sig: equivSig(cq),
+		rows: rows, bytes: bytes, created: created,
 	}, true
 }
 

@@ -26,6 +26,13 @@
 // the union is assembled from cache without any source call; when only
 // some are, the remainder runs live and the results are unioned.
 //
+// The containment check only ever runs against cores that share the
+// uncovered core's equivalence signature (equivSig: head arity plus the
+// predicate and constant sets of the positive and of the negated
+// literals; one shared signature per arity for unsatisfiable cores).
+// Equivalent cores always share it, so answer entries are bucketed by
+// catalog fingerprint and signature, and the scan visits one bucket.
+//
 // Both tiers are LRU-bounded (entries, and approximate bytes for
 // answers), optionally TTL-expired, and invalidated by the catalog
 // generation counter (sources.Catalog.Invalidate / ResetStats). The
@@ -36,6 +43,7 @@ import (
 	"container/list"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -74,7 +82,9 @@ type Options struct {
 	FeasibleBudget int
 	// EquivScanLimit bounds how many cached cores a single uncovered
 	// disjunct may be tested against for equivalence (default 16;
-	// negative = no scan).
+	// negative = no scan). Only cores with the same equivalence
+	// signature (equivSig) are candidates, so the limit counts
+	// same-signature candidates.
 	EquivScanLimit int
 	// EquivBudget bounds the total containment nodes one Answers call
 	// may spend on equivalence scans (default 20000).
@@ -124,6 +134,10 @@ type Stats struct {
 	// EquivHits counts disjuncts reused via the budgeted mutual
 	// containment check rather than key equality.
 	EquivHits int
+	// EquivChecks counts the mutual containment checks the equivalence
+	// scan actually ran (hits and misses): what the scan costs, against
+	// the EquivHits it finds.
+	EquivChecks int
 	// Evictions counts entries (plans and answers) evicted by capacity,
 	// bytes, or TTL.
 	Evictions int
@@ -168,6 +182,7 @@ type PlanEntry struct {
 	steps     [][]access.AdornedLiteral // adornment per non-False exec rule (nil entry = False rule)
 	cores     []logic.CQ                // canonical core per exec rule, head normalized; positional
 	coreKeys  []string                  // CanonicalKey of cores[i]
+	sigs      []string                  // equivSig of cores[i]
 	orderable bool
 	feasible  Feasibility
 	verdict   core.Verdict
@@ -219,10 +234,15 @@ type ansEntry struct {
 	key     string // coreKey + catalog fingerprint
 	catFP   string
 	core    logic.CQ // canonical core (head normalized); for equivalence scans
-	arity   int
+	sig     string   // equivSig(core); carries the head arity
 	rows    []engine.Row
 	bytes   int64
 	created time.Time
+	// bucket is the entry's equivalence bucket
+	// (Cache.buckets[bucketKey(catFP, sig)]), whose values are the
+	// entries' ansLRU elements, and inBucket the entry's element in it.
+	bucket   *list.List
+	inBucket *list.Element
 }
 
 // AnswerHit is the result of consulting the answer cache for one plan
@@ -263,6 +283,11 @@ type Cache struct {
 	answers  map[string]*list.Element // answer key -> element in ansLRU
 	ansLRU   *list.List               // of *ansEntry
 	ansBytes int64
+	// buckets index answer entries by catalog fingerprint and
+	// equivalence signature, each in LRU order (front = most recent), so
+	// the equivalence scan visits only candidates that can be
+	// equivalent.
+	buckets map[string]*list.List
 
 	// persist is the optional crash-safe spill layer (nil = memory
 	// only): a private persist.Log, or a fleet node sharing a
@@ -286,6 +311,7 @@ func New(opt Options) *Cache {
 		flights:  map[string]*planFlight{},
 		answers:  map[string]*list.Element{},
 		ansLRU:   list.New(),
+		buckets:  map[string]*list.List{},
 		restored: map[string]uint64{},
 	}
 }
@@ -313,6 +339,7 @@ func (c *Cache) Purge() {
 	c.planLRU = list.New()
 	c.answers = map[string]*list.Element{}
 	c.ansLRU = list.New()
+	c.buckets = map[string]*list.List{}
 	c.ansBytes = 0
 	// Forget restore state so persisted entries can warm the cache again
 	// on the next lookup (re-restoring is idempotent).
@@ -477,6 +504,7 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 	// normalized away — it names the answer, it does not select it.
 	e.cores = make([]logic.CQ, len(cores))
 	e.coreKeys = make([]string, len(cores))
+	e.sigs = make([]string, len(cores))
 	keySet := make([]string, 0, len(cores))
 	seen := map[string]bool{}
 	for i, cr := range cores {
@@ -485,6 +513,7 @@ func (c *Cache) build(q logic.UCQ, ps *access.Set) *PlanEntry {
 		canon := containment.Canonicalize(n)
 		e.cores[i] = canon
 		e.coreKeys[i] = canon.String()
+		e.sigs[i] = equivSig(canon)
 		if !seen[e.coreKeys[i]] {
 			seen[e.coreKeys[i]] = true
 			keySet = append(keySet, e.coreKeys[i])
@@ -579,7 +608,7 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 				c.stats.Evictions++
 				ok = false
 			} else {
-				c.ansLRU.MoveToFront(elem)
+				c.touchAnswerLocked(elem)
 				hit.Rows[i] = a.rows
 				hit.Covered[i] = true
 				hit.ReusedRules++
@@ -587,11 +616,11 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 			}
 		}
 		if !ok {
-			if a := c.equivScanLocked(e.cores[i], catFP, &equivBudget); a != nil {
+			if a := c.equivScanLocked(e.cores[i], e.sigs[i], catFP, &equivBudget); a != nil {
 				// Alias the scanned entry under this core's key so the
 				// next lookup is O(1).
 				c.installAnswerLocked(&ansEntry{
-					key: key, catFP: catFP, core: a.core, arity: a.arity,
+					key: key, catFP: catFP, core: a.core, sig: a.sig,
 					rows: a.rows, bytes: a.bytes, created: a.created,
 				})
 				hit.Rows[i] = a.rows
@@ -623,29 +652,87 @@ func (c *Cache) Answers(e *PlanEntry, cat *sources.Catalog) AnswerHit {
 }
 
 // equivScanLocked looks for a cached entry (same catalog fingerprint
-// and head arity) whose core is equivalent to want, spending at most
-// the remaining budget of containment nodes and Options.EquivScanLimit
-// candidates. c.mu must be held.
-func (c *Cache) equivScanLocked(want logic.CQ, catFP string, budget *int) *ansEntry {
+// and equivalence signature) whose core is equivalent to want, spending
+// at most the remaining budget of containment nodes and
+// Options.EquivScanLimit candidates. sig must be equivSig(want). c.mu
+// must be held.
+func (c *Cache) equivScanLocked(want logic.CQ, sig, catFP string, budget *int) *ansEntry {
 	if c.opt.EquivScanLimit < 0 || *budget <= 0 {
 		return nil
 	}
+	bucket := c.buckets[bucketKey(catFP, sig)]
+	if bucket == nil {
+		return nil
+	}
 	tried := 0
-	for elem := c.ansLRU.Front(); elem != nil; elem = elem.Next() {
-		a := elem.Value.(*ansEntry)
-		if a.catFP != catFP || a.arity != len(want.HeadArgs) || !c.fresh(a.created) {
+	for be := bucket.Front(); be != nil; be = be.Next() {
+		a := be.Value.(*list.Element).Value.(*ansEntry)
+		if !c.fresh(a.created) {
 			continue
 		}
 		if tried >= c.opt.EquivScanLimit || *budget <= 0 {
 			return nil
 		}
 		tried++
+		c.stats.EquivChecks++
 		if equivalentWithin(want, a.core, budget) {
 			return a
 		}
 	}
 	return nil
 }
+
+// equivSig is the equivalence signature of a CQ¬ core: the head arity
+// plus the sorted predicate and constant sets of its positive and of its
+// negated literals. All unsatisfiable cores of one arity share the
+// signature "⊥/arity".
+//
+// Equivalent cores have equal signatures (Thm. 13): P ⊑ Q with P
+// satisfiable needs a mapping of Q⁺ into P⁺ that fixes constants, so
+// Q⁺'s predicates and constants occur in P⁺; and following the
+// containment recursion down to a leaf yields a mapping that sends
+// every negated literal of Q onto a negated literal of P, so Q⁻'s
+// predicates and constants occur in P⁻. Containment both ways gives
+// equality. A satisfiable core is never equivalent to an unsatisfiable
+// one.
+func equivSig(q logic.CQ) string {
+	if !containment.Satisfiable(q) {
+		return "⊥/" + strconv.Itoa(len(q.HeadArgs))
+	}
+	var posPreds, posConsts, negPreds, negConsts []string
+	for _, l := range q.Body {
+		preds, consts := &posPreds, &posConsts
+		if l.Negated {
+			preds, consts = &negPreds, &negConsts
+		}
+		*preds = append(*preds, strconv.Quote(l.Atom.Pred))
+		for _, t := range l.Atom.Args {
+			if !t.IsVar() {
+				*consts = append(*consts, t.String())
+			}
+		}
+	}
+	var b strings.Builder
+	b.WriteString(strconv.Itoa(len(q.HeadArgs)))
+	for _, set := range [][]string{posPreds, posConsts, negPreds, negConsts} {
+		sort.Strings(set)
+		b.WriteByte('|')
+		for i, v := range set {
+			if i > 0 && v == set[i-1] {
+				continue
+			}
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(v)
+		}
+	}
+	return b.String()
+}
+
+// bucketKey names the equivalence bucket of a catalog fingerprint and
+// signature (fingerprints never contain the separator).
+func bucketKey(catFP, sig string) string { return catFP + "\x1f" + sig }
 
 // equivalentWithin decides equivalence of two CQ¬ cores with a shared
 // node budget, charging the nodes actually spent. Budget exhaustion
@@ -698,7 +785,7 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 			bytes += int64(len(row.Key())) + 32
 		}
 		c.installAnswerLocked(&ansEntry{
-			key: key, catFP: catFP, core: e.cores[i], arity: len(e.cores[i].HeadArgs),
+			key: key, catFP: catFP, core: e.cores[i], sig: e.sigs[i],
 			rows: rows, bytes: bytes, created: now,
 		})
 		if label != "" {
@@ -718,13 +805,22 @@ func (c *Cache) StoreAnswers(e *PlanEntry, cat *sources.Catalog, rels []*engine.
 	return evicted
 }
 
-// installAnswerLocked inserts an answer entry and evicts past the
-// entry/byte bounds; c.mu must be held.
+// installAnswerLocked inserts an answer entry into the LRU and its
+// equivalence bucket and evicts past the entry/byte bounds; c.mu must be
+// held.
 func (c *Cache) installAnswerLocked(a *ansEntry) {
 	if elem, ok := c.answers[a.key]; ok {
 		c.removeAnswerLocked(elem)
 	}
-	c.answers[a.key] = c.ansLRU.PushFront(a)
+	elem := c.ansLRU.PushFront(a)
+	c.answers[a.key] = elem
+	bk := bucketKey(a.catFP, a.sig)
+	bucket := c.buckets[bk]
+	if bucket == nil {
+		bucket = list.New()
+		c.buckets[bk] = bucket
+	}
+	a.bucket, a.inBucket = bucket, bucket.PushFront(elem)
 	c.ansBytes += a.bytes
 	for (c.opt.MaxAnswerEntries > 0 && c.ansLRU.Len() > c.opt.MaxAnswerEntries) ||
 		(c.opt.MaxAnswerBytes > 0 && c.ansBytes > c.opt.MaxAnswerBytes && c.ansLRU.Len() > 1) {
@@ -733,9 +829,22 @@ func (c *Cache) installAnswerLocked(a *ansEntry) {
 	}
 }
 
-// removeAnswerLocked removes an answer element from both indexes.
+// touchAnswerLocked marks an answer element most recently used, in the
+// LRU and in its bucket; c.mu must be held.
+func (c *Cache) touchAnswerLocked(elem *list.Element) {
+	c.ansLRU.MoveToFront(elem)
+	a := elem.Value.(*ansEntry)
+	a.bucket.MoveToFront(a.inBucket)
+}
+
+// removeAnswerLocked removes an answer element from every index; c.mu
+// must be held.
 func (c *Cache) removeAnswerLocked(elem *list.Element) {
 	a := c.ansLRU.Remove(elem).(*ansEntry)
 	delete(c.answers, a.key)
+	a.bucket.Remove(a.inBucket)
+	if a.bucket.Len() == 0 {
+		delete(c.buckets, bucketKey(a.catFP, a.sig))
+	}
 	c.ansBytes -= a.bytes
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/containment"
 	"repro/internal/engine"
 	"repro/internal/logic"
 	"repro/internal/parser"
@@ -347,51 +348,125 @@ func TestDisableAnswers(t *testing.T) {
 	}
 }
 
+// canonCore parses a one-rule query and returns its canonical core
+// form with the head normalized, as the plan builder stores it.
+func canonCore(t *testing.T, src string) logic.CQ {
+	t.Helper()
+	cq := q(t, src).Rules[0]
+	cq.HeadPred = canonHeadPred
+	return containment.Canonicalize(cq)
+}
+
+// installCore stores one answer entry for cq under fingerprint fp; c.mu
+// held.
+func installCore(c *Cache, cq logic.CQ, fp string, created time.Time) {
+	c.installAnswerLocked(&ansEntry{
+		key: cq.String() + "\x1f" + fp, catFP: fp, core: cq, sig: equivSig(cq),
+		rows: []engine.Row{{engine.V("a")}}, created: created,
+	})
+}
+
 func TestEquivScanMechanism(t *testing.T) {
 	c := New(Options{})
-	stored := q(t, "Q(x) :- R(x), not S(x).").Rules[0]
-	stored.HeadPred = canonHeadPred
 	c.mu.Lock()
-	c.installAnswerLocked(&ansEntry{
-		key: "k\x1ffp", catFP: "fp", core: stored, arity: 1,
-		rows: []engine.Row{{engine.V("a")}}, created: time.Now(),
-	})
+	installCore(c, canonCore(t, "Q(x) :- R(x), not S(x)."), "fp", time.Now())
 	// Equivalent core (here: identical up to renaming) under a different
 	// key is found by the mutual containment scan.
-	want := q(t, "Q(y) :- R(y), not S(y).").Rules[0]
-	want.HeadPred = canonHeadPred
+	want := canonCore(t, "Q(y) :- R(y), not S(y).")
 	budget := 10000
-	if a := c.equivScanLocked(want, "fp", &budget); a == nil {
+	if a := c.equivScanLocked(want, equivSig(want), "fp", &budget); a == nil {
 		t.Fatal("equivalent core must be found by the scan")
 	}
 	if budget >= 10000 {
 		t.Fatal("the scan must charge its containment nodes")
 	}
+	if got := c.stats.EquivChecks; got != 1 {
+		t.Fatalf("EquivChecks = %d after one candidate, want 1", got)
+	}
 	// A non-equivalent core is rejected.
-	other := q(t, "Q(y) :- R(y).").Rules[0]
-	other.HeadPred = canonHeadPred
+	other := canonCore(t, "Q(y) :- R(y).")
 	budget = 10000
-	if a := c.equivScanLocked(other, "fp", &budget); a != nil {
+	if a := c.equivScanLocked(other, equivSig(other), "fp", &budget); a != nil {
 		t.Fatal("non-equivalent core must not reuse rows")
 	}
 	// Wrong fingerprint, exhausted budget, and disabled scan all refuse.
 	budget = 10000
-	if a := c.equivScanLocked(want, "other-fp", &budget); a != nil {
+	if a := c.equivScanLocked(want, equivSig(want), "other-fp", &budget); a != nil {
 		t.Fatal("fingerprint mismatch must refuse")
 	}
 	budget = 0
-	if a := c.equivScanLocked(want, "fp", &budget); a != nil {
+	if a := c.equivScanLocked(want, equivSig(want), "fp", &budget); a != nil {
 		t.Fatal("exhausted budget must refuse")
 	}
+
+	// A core that differs only in a negated constant has another
+	// signature: no candidate, no containment node charged.
+	installCore(c, canonCore(t, `Q(x) :- R(x), not S("a").`), "fp", time.Now())
+	diff := canonCore(t, `Q(x) :- R(x), not S("b").`)
+	checks := c.stats.EquivChecks
+	budget = 10000
+	if a := c.equivScanLocked(diff, equivSig(diff), "fp", &budget); a != nil {
+		t.Fatal("a core differing in a negated constant must not reuse rows")
+	}
+	if budget != 10000 || c.stats.EquivChecks != checks {
+		t.Fatalf("negated-constant mismatch charged %d nodes and %d checks, want none",
+			10000-budget, c.stats.EquivChecks-checks)
+	}
+
+	// Two unsatisfiable cores (not False) share the ⊥ signature and
+	// still reuse each other.
+	installCore(c, canonCore(t, "Q(x) :- R(x), not R(x)."), "fp", time.Now())
+	unsat := canonCore(t, "Q(y) :- S(y), T(y), not T(y).")
+	budget = 10000
+	if a := c.equivScanLocked(unsat, equivSig(unsat), "fp", &budget); a == nil || containment.Satisfiable(a.core) {
+		t.Fatal("unsatisfiable cores must reuse each other")
+	}
+	checkBucketsLocked(t, c)
 	c.mu.Unlock()
 
 	cOff := New(Options{EquivScanLimit: -1})
 	cOff.mu.Lock()
+	installCore(cOff, canonCore(t, "Q(x) :- R(x), not S(x)."), "fp", time.Now())
 	budget = 10000
-	if a := cOff.equivScanLocked(want, "fp", &budget); a != nil {
+	if a := cOff.equivScanLocked(want, equivSig(want), "fp", &budget); a != nil {
 		t.Fatal("disabled scan must refuse")
 	}
 	cOff.mu.Unlock()
+
+	// The bucket index follows the LRU through capacity eviction,
+	// catalog invalidation (old-generation entries stay until evicted),
+	// and Purge.
+	cb := New(Options{MaxAnswerEntries: 3})
+	ps := pats(t, "R^o S^o T^o")
+	cat := testCatalog(t)
+	srcs := []string{
+		"Q(x) :- R(x).", "Q(x) :- S(x).", "Q(x) :- R(x), S(x).",
+		"Q(x) :- R(x), not S(x).", "Q(x) :- T(x).",
+	}
+	check := func() {
+		t.Helper()
+		cb.mu.Lock()
+		defer cb.mu.Unlock()
+		checkBucketsLocked(t, cb)
+	}
+	for round := 0; round < 2; round++ {
+		for _, src := range srcs {
+			e, _ := cb.Plan(q(t, src), ps)
+			cb.StoreAnswers(e, cat, []*engine.Rel{rel("a")})
+			cb.Answers(e, cat)
+			check()
+		}
+		if cb.Stats().Evictions == 0 {
+			t.Fatal("the bound must have evicted")
+		}
+		cb.InvalidateCatalog(cat)
+		check()
+	}
+	cb.Purge()
+	check()
+	if len(cb.buckets) != 0 {
+		t.Fatalf("after Purge: %d buckets", len(cb.buckets))
+	}
 }
 
 func TestPurge(t *testing.T) {

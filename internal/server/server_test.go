@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -474,5 +475,64 @@ func TestLoadGenInvalidationMixSeesNoStaleRows(t *testing.T) {
 	}
 	if err := ValidateBenchReport(data); err != nil {
 		t.Errorf("invalidation-mix report fails the schema gate: %v", err)
+	}
+}
+
+// An ad-hoc query stream whose every query carries a constant no
+// source holds must keep the process-wide interner flat in /v1/stats:
+// plan constants are resolved per execution, never interned. The cache
+// section also reports the equivalence scan's checks next to its hits.
+func TestServerFreshConstantsKeepInternerFlat(t *testing.T) {
+	s, fixtures := newTestServer(t, Config{}, 1)
+	f := fixtures[0]
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	stats := func() (Stats, map[string]any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var raw bytes.Buffer
+		if _, err := raw.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		var st Stats
+		var generic map[string]any
+		if err := json.Unmarshal(raw.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw.Bytes(), &generic); err != nil {
+			t.Fatal(err)
+		}
+		return st, generic
+	}
+	ctx := context.Background()
+	// Warm up: the tenant's own values enter the interner once.
+	if _, err := s.Query(ctx, f.Name, `Q(x, y) :- R(x, y), not L(x).`); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := stats()
+	for i := 0; i < 200; i++ {
+		resp, err := s.Query(ctx, f.Name, fmt.Sprintf(`Q(x, y) :- R(x, y), not L("srv_never_%d").`, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// not L(<absent constant>) is always true: the answer is R.
+		if got := relOf(resp.Answers); !got.Equal(f.Expected[0]) {
+			t.Fatalf("constant %d: answers %v, want %v", i, got, f.Expected[0])
+		}
+	}
+	after, generic := stats()
+	if after.Interner.Entries != before.Interner.Entries {
+		t.Fatalf("interner.entries %d -> %d across fresh-constant queries", before.Interner.Entries, after.Interner.Entries)
+	}
+	cache, _ := generic["cache"].(map[string]any)
+	if _, ok := cache["EquivChecks"]; !ok {
+		t.Fatalf("/v1/stats cache section lacks EquivChecks: %v", cache)
+	}
+	if _, ok := cache["EquivHits"]; !ok {
+		t.Fatalf("/v1/stats cache section lacks EquivHits: %v", cache)
 	}
 }
