@@ -1068,6 +1068,7 @@ type e23Slow struct {
 	Source
 	n     int
 	extra time.Duration
+	clk   *VirtualClock // nil: stall on the real clock
 
 	mu    sync.Mutex
 	calls int
@@ -1078,7 +1079,11 @@ func (s *e23Slow) CallContext(ctx context.Context, p access.Pattern, inputs []st
 	s.calls++
 	slow := s.calls%s.n == 0
 	s.mu.Unlock()
-	if slow {
+	if slow && s.clk != nil {
+		if err := s.clk.Sleep(ctx, s.extra); err != nil {
+			return nil, err
+		}
+	} else if slow {
 		t := time.NewTimer(s.extra)
 		defer t.Stop()
 		select {
@@ -1094,21 +1099,32 @@ func (s *e23Slow) CallContext(ctx context.Context, p access.Pattern, inputs []st
 // three-replica set routed round-robin, each replica with a base
 // per-call delay; when slow is set, one replica of T stalls an extra
 // 150ms on every 13th of its calls.
-func e23Catalog(b *testing.B, in *Instance, ps *PatternSet, base time.Duration, slow bool) *Catalog {
+//
+// With a virtual clock, latency is simulated instead of slept: a base
+// delay advances clk by itself and returns at once, and a stall parks
+// on clk, which no request advances far enough, until a hedge's win
+// cancels it. Only the slow replica can then outlast the hedge delay,
+// so the hedges counted are the stalls, not host scheduling jitter.
+func e23Catalog(b *testing.B, in *Instance, ps *PatternSet, base time.Duration, slow bool, clk *VirtualClock) *Catalog {
 	b.Helper()
 	mk := func(slowT bool) *Catalog {
 		cat, err := DelayedCatalog(in.MustCatalog(ps), base)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !slowT {
-			return cat
-		}
 		var srcs []Source
 		for _, name := range cat.Names() {
 			src := cat.Source(name)
-			if name == "T" {
-				src = &e23Slow{Source: src, n: 13, extra: 150 * time.Millisecond}
+			if clk != nil {
+				d := src.(*DelayedSource)
+				d.Now = clk.Now
+				d.Sleep = func(ctx context.Context, d time.Duration) error {
+					clk.Advance(d)
+					return ctx.Err()
+				}
+			}
+			if slowT && name == "T" {
+				src = &e23Slow{Source: src, n: 13, extra: 150 * time.Millisecond, clk: clk}
 			}
 			srcs = append(srcs, src)
 		}
@@ -1118,8 +1134,11 @@ func e23Catalog(b *testing.B, in *Instance, ps *PatternSet, base time.Duration, 
 		}
 		return cat
 	}
-	cat, _, err := ReplicaCatalog(ReplicaConfig{Policy: RoundRobin{}},
-		mk(false), mk(false), mk(slow))
+	cfg := ReplicaConfig{Policy: RoundRobin{}}
+	if clk != nil {
+		cfg.Now = clk.Now
+	}
+	cat, _, err := ReplicaCatalog(cfg, mk(false), mk(false), mk(slow))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1128,11 +1147,11 @@ func e23Catalog(b *testing.B, in *Instance, ps *PatternSet, base time.Duration, 
 
 // e23Run executes n sequential requests and returns each request's
 // latency plus the run's launched-call and hedged-call totals.
-func e23Run(b *testing.B, q Query, ps *PatternSet, cat *Catalog, rt *Runtime, n int, want *Rel) (lat []time.Duration, calls, hedges int) {
+func e23Run(ctx context.Context, b *testing.B, q Query, ps *PatternSet, cat *Catalog, rt *Runtime, n int, want *Rel) (lat []time.Duration, calls, hedges int) {
 	b.Helper()
 	for i := 0; i < n; i++ {
 		start := time.Now()
-		res, err := Exec(context.Background(), q, ps, cat, WithRuntime(rt), WithProfile())
+		res, err := Exec(ctx, q, ps, cat, WithRuntime(rt), WithProfile())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1154,8 +1173,11 @@ func e23Run(b *testing.B, q Query, ps *PatternSet, cat *Catalog, rt *Runtime, n 
 // E23: hedged requests against a replica set with one intermittently
 // slow replica of three. The acceptance properties are asserted up
 // front — the slow replica drives the unhedged p99 to ≥5× the healthy
-// baseline, hedging restores it to ≤2× the baseline, and the hedges
-// cost <5% extra calls — then per-mode subbenchmarks time one request.
+// baseline, hedging restores it to ≤2× the baseline (both on the real
+// clock), and the hedges cost <5% extra calls (counted on a virtual-
+// clock pass, where a healthy call cannot overrun the hedge delay
+// because the host was slow) — then per-mode subbenchmarks time one
+// request.
 func BenchmarkE23Hedging(b *testing.B) {
 	q := MustParseQuery(`Q(y) :- R(x), S(x, z), T(z, y).`)
 	ps := MustParsePatterns(`R^o S^io T^io`)
@@ -1182,16 +1204,23 @@ func BenchmarkE23Hedging(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	healthyLat, _, _ := e23Run(b, q, ps, e23Catalog(b, in, ps, base, false), plain(), requests, want)
-	unhedgedLat, _, _ := e23Run(b, q, ps, e23Catalog(b, in, ps, base, true), plain(), requests, want)
-	hedgedLat, hedgedCalls, hedges := e23Run(b, q, ps, e23Catalog(b, in, ps, base, true), hedging(), requests, want)
+	ctx := context.Background()
+	healthyLat, _, _ := e23Run(ctx, b, q, ps, e23Catalog(b, in, ps, base, false, nil), plain(), requests, want)
+	unhedgedLat, _, _ := e23Run(ctx, b, q, ps, e23Catalog(b, in, ps, base, true, nil), plain(), requests, want)
+	hedgedLat, hedgedCalls, hedges := e23Run(ctx, b, q, ps, e23Catalog(b, in, ps, base, true, nil), hedging(), requests, want)
+	// A stall parks until a hedge cancels it; the deadline turns a
+	// hedge that never fires into a failure instead of a hang.
+	vctx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
+	clk := NewVirtualClock(time.Unix(0, 0))
+	_, vCalls, vHedges := e23Run(vctx, b, q, ps, e23Catalog(b, in, ps, base, true, clk), hedging(), requests, want)
 
 	healthyP99, unhedgedP99, hedgedP99 := pctl(healthyLat, 0.99), pctl(unhedgedLat, 0.99), pctl(hedgedLat, 0.99)
 	b.Logf("p50: healthy=%s unhedged=%s hedged=%s",
 		pctl(healthyLat, 0.50), pctl(unhedgedLat, 0.50), pctl(hedgedLat, 0.50))
 	b.Logf("p99: healthy=%s unhedged=%s hedged=%s", healthyP99, unhedgedP99, hedgedP99)
-	b.Logf("hedged run: %d calls, %d hedges (%.2f%% extra)",
-		hedgedCalls, hedges, 100*float64(hedges)/float64(hedgedCalls-hedges))
+	b.Logf("hedged run: %d calls, %d hedges (%.2f%% extra); virtual-clock pass: %d calls, %d hedges",
+		hedgedCalls, hedges, 100*float64(hedges)/float64(hedgedCalls-hedges), vCalls, vHedges)
 
 	if unhedgedP99 < 5*healthyP99 {
 		b.Fatalf("unhedged p99 %s < 5× healthy %s: the slow replica must dominate the tail", unhedgedP99, healthyP99)
@@ -1199,8 +1228,9 @@ func BenchmarkE23Hedging(b *testing.B) {
 	if hedgedP99 > 2*healthyP99 {
 		b.Fatalf("hedged p99 %s > 2× healthy %s: hedging must restore the tail", hedgedP99, healthyP99)
 	}
-	if 20*hedges >= hedgedCalls-hedges {
-		b.Fatalf("%d hedges on %d primary calls: extra-call overhead must stay under 5%%", hedges, hedgedCalls-hedges)
+	if vHedges == 0 || 20*vHedges >= vCalls-vHedges {
+		b.Fatalf("virtual-clock pass: %d hedges on %d primary calls: hedging must fire on the stalls and its extra-call overhead stay under 5%%",
+			vHedges, vCalls-vHedges)
 	}
 
 	modes := []struct {
@@ -1214,7 +1244,7 @@ func BenchmarkE23Hedging(b *testing.B) {
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
-			cat := e23Catalog(b, in, ps, base, m.slow)
+			cat := e23Catalog(b, in, ps, base, m.slow, nil)
 			rt := m.rt()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -1297,8 +1327,9 @@ func e25Best(b *testing.B, rt *Runtime, q Query, ps *PatternSet, in *engine.Inst
 // identical source-call counts, and at least a 5x wall-clock win for
 // the columnar hot loop — then times both evaluators with allocation
 // counts. When a recorded seed (BENCH_E25.json) is present, the
-// columnar allocs/op must undercut the seed's map-evaluator baseline,
-// so `make bench-smoke` catches allocation regressions.
+// columnar allocs/op must stay within server.ColumnarAllocSlack of the
+// seed's own columnar figure, so `make bench-smoke` catches allocation
+// regressions.
 func BenchmarkE25Columnar(b *testing.B) {
 	q, ps, in := e25Fixture(4000, 8)
 	colRT := NewRuntime()
@@ -1328,15 +1359,16 @@ func BenchmarkE25Columnar(b *testing.B) {
 	}
 
 	// Allocation regression gate: the committed seed (BENCH_E25.json)
-	// records both evaluators' allocs/op at seed time; the columnar
-	// evaluator must stay below the map baseline it replaced.
+	// records the columnar evaluator's allocs/op; a measurement may
+	// exceed it only by the 5% that Go's per-process map hash seed moves
+	// allocation counts (the slack of server.CheckColumnarAllocs, which
+	// gates re-recordings; this package cannot import internal/server).
 	if data, err := os.ReadFile("BENCH_E25.json"); err == nil {
 		var seed struct {
-			MapAllocsPerOp      float64 `json:"map_allocs_per_op"`
 			ColumnarAllocsPerOp float64 `json:"columnar_allocs_per_op"`
 		}
-		if err := json.Unmarshal(data, &seed); err != nil {
-			b.Fatalf("BENCH_E25.json: %v", err)
+		if err := json.Unmarshal(data, &seed); err != nil || seed.ColumnarAllocsPerOp <= 0 {
+			b.Fatalf("BENCH_E25.json: no columnar_allocs_per_op (%v)", err)
 		}
 		cat := in.MustCatalog(ps)
 		allocs := testing.AllocsPerRun(3, func() {
@@ -1344,12 +1376,11 @@ func BenchmarkE25Columnar(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
-		if seed.MapAllocsPerOp > 0 && allocs >= seed.MapAllocsPerOp {
-			b.Fatalf("columnar allocs/op %.0f did not drop below the recorded map-evaluator seed %.0f",
-				allocs, seed.MapAllocsPerOp)
+		if allocs > 1.05*seed.ColumnarAllocsPerOp {
+			b.Fatalf("columnar allocs/op %.0f above 1.05× the recorded columnar seed %.0f",
+				allocs, seed.ColumnarAllocsPerOp)
 		}
-		b.Logf("allocs/op: columnar=%.0f (seed: map=%.0f columnar=%.0f)",
-			allocs, seed.MapAllocsPerOp, seed.ColumnarAllocsPerOp)
+		b.Logf("allocs/op: columnar=%.0f (seed %.0f)", allocs, seed.ColumnarAllocsPerOp)
 	} else {
 		b.Log("no BENCH_E25.json seed; skipping the allocation regression gate")
 	}

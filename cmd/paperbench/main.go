@@ -1464,6 +1464,12 @@ func e25() {
 		if err := server.ValidateBenchReport(data); err != nil {
 			panic(err)
 		}
+		// Re-recording over a committed seed must not regress it.
+		if seed, err := os.ReadFile(*benchOut); err == nil {
+			if err := server.CheckColumnarAllocs(colAllocs, seed); err != nil {
+				panic(fmt.Errorf("%s: %w", *benchOut, err))
+			}
+		}
 		if err := os.WriteFile(*benchOut, data, 0o644); err != nil {
 			panic(err)
 		}

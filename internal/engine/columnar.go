@@ -10,23 +10,28 @@ package engine
 // atom position a static role — and bindings flow between steps as
 // colBatch values: slot-indexed vectors of interned uint32 value IDs
 // (see intern.go). One step is then a hash join: each distinct source
-// call's tuples are interned, filtered by the static constant and
-// repeated-variable constraints once, and grouped by their bound-
-// position key — built once per call — and each input row probes by its
-// own bound-slot key, emitting one output row per matching tuple.
+// call's tuples are filtered by the static constant and repeated-
+// variable constraints once, and the survivors' join values interned
+// and grouped by their bound-position key — built once per call — and
+// each input row probes by its own bound-slot key, emitting one output
+// row per matching tuple. A compile-time liveness pass keeps only the
+// slots a later step or the head reads, and under Runtime.Dedup output
+// rows equal on those slots collapse to the first (applyStepCol).
 // Column buffers are recycled through a per-execution colPool.
 //
 // The columnar path is observationally identical to the map path: same
 // source calls in the same dedup groups (keys are now binary ID tuples,
 // which also fixes the latent '\x1f'-in-value collision of the string
-// key), same output rows in the same order (input-row order × tuple
-// order, exactly the map path's fan-out), and the same lazily raised
-// planning errors. Strings materialize only at the edges: call inputs
-// handed to internal/sources and head rows handed to Rel/Stream.
+// key), same answer rows in the same order, and the same lazily raised
+// planning errors. Only the binding counts of the profile differ: they
+// count distinct live bindings, not the map path's full fan-out.
+// Strings materialize only at the edges: call inputs handed to
+// internal/sources and head rows handed to Rel/Stream.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +47,84 @@ import (
 type colBatch struct {
 	n    int
 	cols [][]uint32
+}
+
+// rowSet is an insertion-ordered set of rows of uint32 IDs — bindings
+// projected onto a fixed list of slots — in one flat arena with an
+// open-addressing index, so a member costs no allocation of its own.
+// It backs the binding collapse of applyStepCol and the ID-space head
+// dedup. reset empties it for reuse and keeps its buffers.
+type rowSet struct {
+	width int      // IDs per member, fixed by the first add after reset
+	n     int      // members
+	keys  []uint32 // members' IDs, width per member, in insertion order
+	index []int32  // member+1 per occupied entry; 0 marks a free entry
+	key   []uint32 // addRow scratch
+}
+
+func (s *rowSet) reset() {
+	s.n = 0
+	s.keys = s.keys[:0]
+	clear(s.index)
+}
+
+// addRow adds row i of b projected onto slots; see add.
+func (s *rowSet) addRow(b *colBatch, i int, slots []int) (int, bool) {
+	s.key = s.key[:0]
+	for _, sl := range slots {
+		s.key = append(s.key, b.cols[sl][i])
+	}
+	return s.add(s.key)
+}
+
+// add returns key's member index, adding key if it is new; added
+// reports whether it was. All keys between resets have one width.
+func (s *rowSet) add(key []uint32) (idx int, added bool) {
+	if s.n == 0 {
+		s.width = len(key)
+	}
+	if 2*(s.n+1) > len(s.index) {
+		s.grow()
+	}
+	mask := len(s.index) - 1
+	for e := int(hashIDs(key)) & mask; ; e = (e + 1) & mask {
+		m := int(s.index[e]) - 1
+		if m < 0 {
+			s.index[e] = int32(s.n + 1)
+			s.keys = append(s.keys, key...)
+			s.n++
+			return s.n - 1, true
+		}
+		if slices.Equal(s.keys[m*s.width:(m+1)*s.width], key) {
+			return m, false
+		}
+	}
+}
+
+// grow doubles the index (at least 16 entries) and reinserts every
+// member.
+func (s *rowSet) grow() {
+	size := max(16, 2*len(s.index))
+	s.index = make([]int32, size)
+	mask := size - 1
+	for m := 0; m < s.n; m++ {
+		e := int(hashIDs(s.keys[m*s.width:(m+1)*s.width])) & mask
+		for s.index[e] != 0 {
+			e = (e + 1) & mask
+		}
+		s.index[e] = int32(m + 1)
+	}
+}
+
+// hashIDs mixes a row of IDs into a hash for rowSet's index.
+func hashIDs(key []uint32) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, v := range key {
+		h ^= uint64(v)
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 31
+	}
+	return h
 }
 
 // colPool recycles column buffers and batch headers within one
@@ -226,10 +309,11 @@ type argRole uint8
 
 const (
 	// argConst: constant in the atom; a tuple survives iff its value at
-	// this position equals constID.
+	// this position equals val.
 	argConst argRole = iota
 	// argFirst: a variable's first occurrence, bound by this atom; the
-	// tuple value flows into the variable's slot (positive steps).
+	// tuple value flows into the variable's slot when the slot is live
+	// (positive steps only).
 	argFirst
 	// argRepeat: a later occurrence of an argFirst variable within the
 	// same atom; the tuple must agree with itself at firstPos.
@@ -245,7 +329,7 @@ const (
 // stepArg is the compiled role of one atom position.
 type stepArg struct {
 	role     argRole
-	constID  uint32 // argConst
+	val      string // argConst
 	slot     int    // argFirst: slot written; argBound: slot probed
 	firstPos int    // argRepeat: position of the variable's first occurrence
 }
@@ -257,21 +341,30 @@ type inputSrc struct {
 	constID uint32
 }
 
-// newCol is a column a positive step adds: the variable's slot filled
-// from the matching tuple's position.
+// newCol is a live column a positive step adds: the variable's slot
+// filled from entry at of the matching tuple's interned join row.
 type newCol struct {
-	slot, pos int
+	slot, at int
 }
 
 // stepProgram is one compiled plan step.
 type stepProgram struct {
-	step       access.AdornedLiteral
-	args       []stepArg
-	inputs     []inputSrc
-	boundPos   []int // atom positions with role argBound, in order
-	probeSlots []int // the slot probed for each boundPos entry
-	copySlots  []int // slots bound before this step (copied through)
-	newCols    []newCol
+	step   access.AdornedLiteral
+	args   []stepArg
+	inputs []inputSrc
+	// joinPos are the atom positions whose tuple values the join interns:
+	// the probe positions (role argBound, paired in order with
+	// probeSlots), then the positions feeding newCols. No other
+	// position's ID is ever read — constants and repeats are checked on
+	// the strings — so dead columns never reach the interner.
+	joinPos    []int
+	probeSlots []int
+	// copySlots are the live slots bound before this step (copied
+	// through); newCols the live slots it binds. Together (outSlots)
+	// they are exactly the slots some later step or the head reads.
+	copySlots []int
+	newCols   []newCol
+	outSlots  []int
 	// err is the step's lazy compile error (unbound or null call input),
 	// raised — like the map path's per-binding callInputs error — only
 	// when rows actually reach the step.
@@ -311,8 +404,14 @@ type ruleProgram struct {
 // fails: structural problems (unbound inputs, unsafe heads) become lazy
 // errors raised exactly where the per-binding evaluator would raise
 // them. Compilation is cheap (linear in the plan) and runs once per
-// rule per execution. Constants resolve through the execution's pool
-// (constID) and never grow the process-wide interner.
+// rule per execution. Call-input constants resolve through the
+// execution's pool (constID) and never grow the process-wide interner.
+//
+// A backward liveness pass then trims every step to what the rest of
+// the plan reads: a slot survives step i only if a call input or join
+// probe of steps i+1…n, or the head, reads it. Dead columns are neither
+// copied nor interned, and the collapse in applyStepCol keys on the
+// live slots alone.
 func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *ruleProgram {
 	prog := &ruleProgram{rule: q, steps: make([]stepProgram, len(steps))}
 	slotOf := map[string]int{}
@@ -357,12 +456,12 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			switch {
 			case t.IsConst():
 				a.role = argConst
-				a.constID = pool.constID(t.Name)
+				a.val = t.Name
 			case t.IsVar():
 				if s, ok := slotOf[t.Name]; ok && bound[s] {
 					a.role = argBound
 					a.slot = s
-					sp.boundPos = append(sp.boundPos, j)
+					sp.joinPos = append(sp.joinPos, j)
 					sp.probeSlots = append(sp.probeSlots, s)
 					continue
 				}
@@ -389,7 +488,7 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 		if !st.Literal.Negated {
 			for j := range sp.args {
 				if sp.args[j].role == argFirst {
-					sp.newCols = append(sp.newCols, newCol{slot: sp.args[j].slot, pos: j})
+					sp.newCols = append(sp.newCols, newCol{slot: sp.args[j].slot, at: j})
 					bound[sp.args[j].slot] = true
 				}
 			}
@@ -414,6 +513,43 @@ func compileRule(q logic.CQ, steps []access.AdornedLiteral, pool *colPool) *rule
 			}
 		}
 	}
+	live := make([]bool, prog.numSlots)
+	for _, s := range prog.headSlots {
+		live[s] = true
+	}
+	for si := len(prog.steps) - 1; si >= 0; si-- {
+		sp := &prog.steps[si]
+		copySlots := sp.copySlots[:0]
+		for _, s := range sp.copySlots {
+			if live[s] {
+				copySlots = append(copySlots, s)
+			}
+		}
+		sp.copySlots = copySlots
+		newCols := sp.newCols[:0]
+		for _, nc := range sp.newCols {
+			if live[nc.slot] {
+				// nc.at held the atom position; it becomes the entry of the
+				// interned join row.
+				sp.joinPos = append(sp.joinPos, nc.at)
+				nc.at = len(sp.joinPos) - 1
+				newCols = append(newCols, nc)
+			}
+		}
+		sp.newCols = newCols
+		sp.outSlots = append([]int(nil), copySlots...)
+		for _, nc := range newCols {
+			sp.outSlots = append(sp.outSlots, nc.slot)
+		}
+		for _, in := range sp.inputs {
+			if in.slot >= 0 {
+				live[in.slot] = true
+			}
+		}
+		for _, s := range sp.probeSlots {
+			live[s] = true
+		}
+	}
 	return prog
 }
 
@@ -435,40 +571,36 @@ func (sp *stepProgram) materializeInputs(in *colBatch, row int, pool *colPool) [
 }
 
 // callJoin is the hash-join side of one distinct source call: the
-// call's tuples interned and pre-filtered by the step's static
-// constraints, grouped by their bound-position key. It is built once
-// per call — in a streamed stage the memo carries it across batches —
-// and probed once per input row.
+// call's surviving tuples — pre-filtered by the step's static
+// constraints — reduced to their interned join rows (the joinPos
+// values) and grouped by their probe key. It is built once per call —
+// in a streamed stage the memo carries it across batches — and probed
+// once per input row.
 type callJoin struct {
-	vals   []uint32 // len(rows) × arity interned tuple values
-	arity  int
+	vals   []uint32 // one join row of len(joinPos) IDs per surviving tuple
+	width  int
 	groups map[string][]int32 // probe key -> surviving tuple indices, in tuple order
 }
 
-// buildJoin interns and filters the call's tuples and groups them by
-// bound-position key. Tuple order is preserved within each group, so
-// probing emits matches in exactly the map path's order.
+// buildJoin filters the call's tuples and interns and groups the
+// survivors by probe key. Constants and repeated variables are checked
+// on the strings, so a tuple the filter drops, and every position
+// outside joinPos, never touches the interner. Tuple order is preserved
+// within each group, so probing emits matches in exactly the map path's
+// order.
 func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool) *callJoin {
-	arity := len(sp.args)
-	j := &callJoin{arity: arity, groups: make(map[string][]int32, 1+len(rows)/4)}
-	if len(rows) > 0 && arity > 0 {
-		j.vals = make([]uint32, len(rows)*arity)
-	}
-	keyBuf := make([]byte, 0, 4*len(sp.boundPos))
-	for ti, t := range rows {
-		vals := j.vals[ti*arity : (ti+1)*arity]
+	width := len(sp.joinPos)
+	j := &callJoin{width: width, groups: make(map[string][]int32, 1+len(rows)/4)}
+	keyBuf := make([]byte, 0, 4*len(sp.probeSlots))
+	n := int32(0)
+	for _, t := range rows {
 		ok := true
-		for p := 0; p < arity && ok; p++ {
-			id, fresh := pool.internID(t[p])
-			if fresh {
-				pool.nInterned.Add(1)
-			}
-			vals[p] = id
+		for p := 0; p < len(sp.args) && ok; p++ {
 			switch a := &sp.args[p]; a.role {
 			case argConst:
-				ok = id == a.constID
+				ok = t[p] == a.val
 			case argRepeat:
-				ok = id == vals[a.firstPos]
+				ok = t[p] == t[a.firstPos]
 			case argNull:
 				ok = false
 			}
@@ -476,16 +608,26 @@ func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool) *callJoin 
 		if !ok {
 			continue
 		}
+		if j.vals == nil && width > 0 {
+			j.vals = make([]uint32, 0, len(rows)*width)
+		}
+		for _, p := range sp.joinPos {
+			id, fresh := pool.internID(t[p])
+			if fresh {
+				pool.nInterned.Add(1)
+			}
+			j.vals = append(j.vals, id)
+		}
 		keyBuf = keyBuf[:0]
-		for _, p := range sp.boundPos {
-			v := vals[p]
+		for _, v := range j.vals[int(n)*width : int(n)*width+len(sp.probeSlots)] {
 			keyBuf = append(keyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 		}
 		if g, found := j.groups[string(keyBuf)]; found {
-			j.groups[string(keyBuf)] = append(g, int32(ti))
+			j.groups[string(keyBuf)] = append(g, n)
 		} else {
-			j.groups[string(keyBuf)] = []int32{int32(ti)}
+			j.groups[string(keyBuf)] = []int32{n}
 		}
+		n++
 	}
 	return j
 }
@@ -498,9 +640,20 @@ func (sp *stepProgram) buildJoin(rows []sources.Tuple, pool *colPool) *callJoin 
 // ≤ 0 means one batch). memo extends call deduplication across batches
 // exactly like the map path's.
 //
+// A non-nil seen collapses duplicate bindings: an output row whose live
+// slots (outSlots) repeat a row seen earlier — in this batch or, for a
+// streamed stage, in an earlier one — is dropped. Its future is the
+// kept row's: every later call input, probe and head value reads only
+// live slots. So it would issue only calls the kept row's descendants
+// already issued (deduplicated), and add only head rows they already
+// added, later, which Rel.Add rejects. Keeping first occurrences in
+// input order leaves the distinct-call order and the answer insertion
+// order byte-identical. Callers pass seen only under rt.Dedup: without
+// deduplication every binding pays its own calls, as in the map path.
+//
 // It returns the number of rows emitted and whether emit stopped the
 // step early (pipeline cancellation; not an error).
-func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, cat *sources.Catalog, in *colBatch, sp *StepProfile, memo map[string]*stepCall, budget *budgetState, pool *colPool, limit int, emit func(*colBatch) bool) (int, bool, error) {
+func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, cat *sources.Catalog, in *colBatch, sp *StepProfile, memo map[string]*stepCall, seen *rowSet, budget *budgetState, pool *colPool, limit int, emit func(*colBatch) bool) (int, bool, error) {
 	sp0 := &prog.steps[si]
 	step := sp0.step
 	src := cat.Source(step.Literal.Atom.Pred)
@@ -552,11 +705,11 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 		c.join = sp0.buildJoin(c.rows, pool)
 	}
 
-	// Probe every row, resolving its matching tuple group and the total
-	// output cardinality before any output column is allocated.
+	// Probe every row, resolving its matching tuple group and the number
+	// of candidate output rows before any output column is allocated.
 	negated := step.Literal.Negated
 	rowGroups := make([][]int32, in.n)
-	total := 0
+	remaining := 0
 	for i := 0; i < in.n; i++ {
 		keyBuf = keyBuf[:0]
 		for _, s := range sp0.probeSlots {
@@ -567,32 +720,31 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 		rowGroups[i] = g
 		if negated {
 			if len(g) == 0 {
-				total++
+				remaining++
 			}
 		} else {
-			total += len(g)
+			remaining += len(g)
 		}
 	}
-	if total == 0 {
+	if remaining == 0 {
 		return 0, false, nil
 	}
 
-	mk := func(n int) *colBatch {
+	// Output batches are sized for the candidates still to come; the
+	// collapse may leave them partly used.
+	mk := func() *colBatch {
+		n := remaining
+		if limit > 0 && limit < n {
+			n = limit
+		}
 		b := pool.getBatch(prog.numSlots)
 		b.n = n
-		for _, s := range sp0.copySlots {
+		for _, s := range sp0.outSlots {
 			b.cols[s] = pool.getCol(n)
-		}
-		for _, nc := range sp0.newCols {
-			b.cols[nc.slot] = pool.getCol(n)
 		}
 		return b
 	}
-	chunk := total
-	if limit > 0 && limit < chunk {
-		chunk = limit
-	}
-	ob := mk(chunk)
+	ob := mk()
 	emitted, k := 0, 0
 	flush := func() bool {
 		ob.n = k
@@ -601,16 +753,24 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 		}
 		emitted += k
 		k = 0
-		if rem := total - emitted; rem > 0 {
-			c := rem
-			if limit > 0 && limit < c {
-				c = limit
-			}
-			ob = mk(c)
-		} else {
-			ob = nil
+		ob = nil
+		if remaining > 0 {
+			ob = mk()
 		}
 		return true
+	}
+	// commit accounts for the candidate just written at row k of ob: it
+	// becomes an output row unless seen already holds its live values.
+	// It returns false when emit stopped the step.
+	commit := func() bool {
+		remaining--
+		if seen != nil {
+			if _, added := seen.addRow(ob, k, sp0.outSlots); !added {
+				return true
+			}
+		}
+		k++
+		return !(limit > 0 && k == limit) || flush()
 	}
 	for i := 0; i < in.n; i++ {
 		g := rowGroups[i]
@@ -621,8 +781,7 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 			for _, s := range sp0.copySlots {
 				ob.cols[s][k] = in.cols[s][i]
 			}
-			k++
-			if limit > 0 && k == limit && !flush() {
+			if !commit() {
 				return emitted, true, nil
 			}
 			continue
@@ -632,35 +791,26 @@ func (rt *Runtime) applyStepCol(ctx context.Context, prog *ruleProgram, si int, 
 		}
 		join := callOf[i].join
 		for _, ti := range g {
-			vals := join.vals[int(ti)*join.arity:]
+			vals := join.vals[int(ti)*join.width:]
 			for _, s := range sp0.copySlots {
 				ob.cols[s][k] = in.cols[s][i]
 			}
 			for _, nc := range sp0.newCols {
-				ob.cols[nc.slot][k] = vals[nc.pos]
+				ob.cols[nc.slot][k] = vals[nc.at]
 			}
-			k++
-			if limit > 0 && k == limit && !flush() {
+			if !commit() {
 				return emitted, true, nil
 			}
 		}
 	}
-	if k > 0 && !flush() {
-		return emitted, true, nil
+	if k > 0 {
+		if !flush() {
+			return emitted, true, nil
+		}
+	} else if ob != nil {
+		pool.put(ob) // every remaining candidate collapsed
 	}
 	return emitted, false, nil
-}
-
-// headKey appends batch row i's ID-space head identity to buf: two
-// rows of the same rule produce equal keys iff their materialized head
-// rows are byte-identical (const and null head positions are invariant
-// within a rule, so only the slot-bound positions are encoded).
-func (prog *ruleProgram) headKey(b *colBatch, i int, buf []byte) []byte {
-	for _, s := range prog.headSlots {
-		v := b.cols[s][i]
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return buf
 }
 
 // headRowCol materializes the answer row for one batch row: the only
@@ -687,6 +837,12 @@ func (prog *ruleProgram) headRowCol(b *colBatch, i int, pool *colPool) Row {
 func (rt *Runtime) runStepsCol(ctx context.Context, q logic.CQ, steps []access.AdornedLiteral, cat *sources.Catalog, out *Rel, prof *RuleProfile, budget *budgetState, pool *colPool) error {
 	ruleStart := time.Now()
 	prog := compileRule(q, steps, pool)
+	// One set serves every step's collapse in turn, then the head.
+	set := &rowSet{}
+	var seen *rowSet
+	if rt.Dedup {
+		seen = set
+	}
 	cur := pool.getBatch(prog.numSlots)
 	cur.n = 1 // the single empty binding
 	for si := range prog.steps {
@@ -695,7 +851,8 @@ func (rt *Runtime) runStepsCol(ctx context.Context, q logic.CQ, steps []access.A
 		sp.BindingsIn = cur.n
 		start := time.Now()
 		var next *colBatch
-		outRows, _, err := rt.applyStepCol(ctx, prog, si, cat, cur, &sp, nil, budget, pool, 0, func(b *colBatch) bool {
+		set.reset()
+		outRows, _, err := rt.applyStepCol(ctx, prog, si, cat, cur, &sp, nil, seen, budget, pool, 0, func(b *colBatch) bool {
 			next = b
 			return true
 		})
@@ -732,16 +889,15 @@ func (rt *Runtime) runStepsCol(ctx context.Context, q logic.CQ, steps []access.A
 		return prog.headErr
 	}
 	// Dedup head rows in ID space before materializing strings: a row
-	// whose key repeats within this rule is one Add would reject anyway,
-	// so only the first occurrence pays Row.Key and string assembly.
-	seen := make(map[string]struct{}, 1+cur.n/4)
-	keyBuf := make([]byte, 0, 4*len(prog.headSlots))
+	// whose head slots repeat within this rule is one Add would reject
+	// anyway, so only the first occurrence pays Row.Key and string
+	// assembly. (Under Dedup the last step's collapse already made the
+	// rows distinct; the check is then cheap and never fires.)
+	set.reset()
 	for i := 0; i < cur.n; i++ {
-		keyBuf = prog.headKey(cur, i, keyBuf[:0])
-		if _, dup := seen[string(keyBuf)]; dup {
+		if _, added := set.addRow(cur, i, prog.headSlots); !added {
 			continue
 		}
-		seen[string(keyBuf)] = struct{}{}
 		if out.Add(prog.headRowCol(cur, i, pool)) && prof != nil {
 			prof.Answers++
 		}

@@ -22,11 +22,18 @@ type StepProfile struct {
 	// meter delta for the step.
 	Calls          int
 	TuplesReturned int
-	BindingsIn     int
-	BindingsOut    int
+	// BindingsIn and BindingsOut count the bindings entering and leaving
+	// the step. Under Runtime.Dedup the columnar evaluator carries only
+	// live variables and collapses bindings that agree on all of them,
+	// so it counts distinct live bindings; the map evaluator (MapEval)
+	// and runs without Dedup count every binding of the fan-out.
+	BindingsIn  int
+	BindingsOut int
 	// DedupedCalls counts bindings served by another binding's call:
 	// their (pattern, inputs) key was already being fetched this step,
-	// so no extra source call was issued.
+	// so no extra source call was issued. Only repeated inputs among the
+	// bindings counted in BindingsIn are counted, so the collapse lowers
+	// it while Calls stay the same.
 	DedupedCalls int
 	// Retries counts retry rounds beyond the first per call (transient
 	// failures that the retry policy absorbed). A hedged race across

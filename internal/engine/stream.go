@@ -393,9 +393,14 @@ func (rt *Runtime) runPipeline(ctx context.Context, p rulePipeline, cat *sources
 			defer close(out)
 			sp := &rp.Steps[i]
 			sp.Step = prog.steps[i].step
+			// The call memo and the binding-collapse set span the
+			// stage's batches, exactly as one materialized step spans
+			// its whole input.
 			var memo map[string]*stepCall
+			var seen *rowSet
 			if rt.Dedup {
 				memo = map[string]*stepCall{}
+				seen = &rowSet{}
 			}
 			// emit hands one output batch downstream, charging the
 			// resident gauge; ownership transfers to the next stage.
@@ -414,7 +419,7 @@ func (rt *Runtime) runPipeline(ctx context.Context, p rulePipeline, cat *sources
 				n := batch.n
 				sp.BindingsIn += n
 				t0 := time.Now()
-				emitted, stopped, err := rt.applyStepCol(rctx, prog, i, cat, batch, sp, memo, budget, pool, rt.batchSize(), emit)
+				emitted, stopped, err := rt.applyStepCol(rctx, prog, i, cat, batch, sp, memo, seen, budget, pool, rt.batchSize(), emit)
 				sp.Elapsed += time.Since(t0)
 				pool.put(batch)
 				if err != nil {
@@ -439,11 +444,12 @@ func (rt *Runtime) runPipeline(ctx context.Context, p rulePipeline, cat *sources
 	wg.Add(1)
 	go func(in <-chan *colBatch) {
 		defer wg.Done()
-		// Duplicate head rows are still emitted (the stream surfaces the
-		// full fan-out), but each distinct row is materialized once and
-		// shared by ID-space key; consumers treat rows as read-only.
-		rowCache := map[string]Row{}
-		var keyBuf []byte
+		// Duplicate head rows that reach this stage (only without Dedup;
+		// with it the last stage's collapse already made them distinct)
+		// are still emitted, but each distinct row is materialized once
+		// and shared by ID-space key; consumers treat rows as read-only.
+		var heads rowSet
+		var distinct []Row // by heads member index
 		for batch := range in {
 			n := batch.n
 			if n > 0 && prog.headErr != nil {
@@ -454,13 +460,11 @@ func (rt *Runtime) runPipeline(ctx context.Context, p rulePipeline, cat *sources
 			}
 			rows := make([]Row, 0, n)
 			for ri := 0; ri < n; ri++ {
-				keyBuf = prog.headKey(batch, ri, keyBuf[:0])
-				row, ok := rowCache[string(keyBuf)]
-				if !ok {
-					row = prog.headRowCol(batch, ri, pool)
-					rowCache[string(keyBuf)] = row
+				idx, added := heads.addRow(batch, ri, prog.headSlots)
+				if added {
+					distinct = append(distinct, prog.headRowCol(batch, ri, pool))
 				}
-				rows = append(rows, row)
+				rows = append(rows, distinct[idx])
 			}
 			pool.put(batch)
 			if partial {

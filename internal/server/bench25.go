@@ -7,6 +7,8 @@ package server
 // it on the artifacts so a drifting schema — or a regression in the
 // invariants the artifact claims (identical calls, byte-identical
 // answers, allocations below the map baseline) — fails the build.
+// CheckColumnarAllocs is the tighter regression gate: a new measurement
+// against the committed seed's own columnar figure.
 
 import (
 	"encoding/json"
@@ -42,7 +44,9 @@ type ColumnarReport struct {
 	MapCalls      int `json:"map_calls"`
 	ColumnarCalls int `json:"columnar_calls"`
 	// MapAllocsPerOp and ColumnarAllocsPerOp are heap allocations per
-	// evaluation; BenchmarkE25Columnar gates against the map baseline.
+	// evaluation; BenchmarkE25Columnar and a re-recording gate new
+	// columnar measurements against ColumnarAllocsPerOp
+	// (CheckColumnarAllocs).
 	MapAllocsPerOp      float64 `json:"map_allocs_per_op"`
 	ColumnarAllocsPerOp float64 `json:"columnar_allocs_per_op"`
 	// ByteIdentical records that both evaluators produced the same rows
@@ -99,6 +103,30 @@ func validateE25(raw map[string]json.RawMessage) error {
 	if r.ColumnarAllocsPerOp >= r.MapAllocsPerOp {
 		return fmt.Errorf("bench report: columnar allocs/op %.0f did not drop below map %.0f",
 			r.ColumnarAllocsPerOp, r.MapAllocsPerOp)
+	}
+	return nil
+}
+
+// ColumnarAllocSlack is how far a columnar allocs/op measurement may
+// exceed the committed E25 seed. Go seeds every map's hash per process,
+// so map growth, and with it the allocation count, moves by a few
+// percent from run to run at unchanged code.
+const ColumnarAllocSlack = 1.05
+
+// CheckColumnarAllocs gates a columnar allocs/op measurement against a
+// committed E25 report (seed): it fails when allocs exceeds
+// ColumnarAllocSlack × the seed's columnar_allocs_per_op.
+func CheckColumnarAllocs(allocs float64, seed []byte) error {
+	var r ColumnarReport
+	if err := json.Unmarshal(seed, &r); err != nil {
+		return fmt.Errorf("E25 seed: %w", err)
+	}
+	if r.Experiment != "E25" || r.ColumnarAllocsPerOp <= 0 {
+		return fmt.Errorf("E25 seed: experiment %q, columnar_allocs_per_op %.0f", r.Experiment, r.ColumnarAllocsPerOp)
+	}
+	if limit := ColumnarAllocSlack * r.ColumnarAllocsPerOp; allocs > limit {
+		return fmt.Errorf("columnar allocs/op %.0f above %.2f× the committed seed's %.0f",
+			allocs, ColumnarAllocSlack, r.ColumnarAllocsPerOp)
 	}
 	return nil
 }

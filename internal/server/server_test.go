@@ -307,6 +307,20 @@ func TestValidateBenchReportE25(t *testing.T) {
 	}
 }
 
+func TestCheckColumnarAllocs(t *testing.T) {
+	seed, _ := json.Marshal(&ColumnarReport{Experiment: "E25", ColumnarAllocsPerOp: 1000})
+	for allocs, ok := range map[float64]bool{900: true, 1000: true, 1050: true, 1051: false, 5000: false} {
+		if err := CheckColumnarAllocs(allocs, seed); (err == nil) != ok {
+			t.Errorf("allocs %.0f against seed 1000: err = %v, want pass=%v", allocs, err, ok)
+		}
+	}
+	for _, bad := range []string{`{"experiment": "E24", "columnar_allocs_per_op": 1000}`, `{"experiment": "E25"}`, `[`} {
+		if err := CheckColumnarAllocs(1, []byte(bad)); err == nil {
+			t.Errorf("seed %s accepted", bad)
+		}
+	}
+}
+
 func TestValidateBenchReportE26(t *testing.T) {
 	good := &WarmRestartReport{
 		Experiment: "E26",

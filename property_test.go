@@ -430,3 +430,110 @@ func TestColumnarMatchesMapEvaluator(t *testing.T) {
 		t.Errorf("only %d cases engaged", tested)
 	}
 }
+
+// stepCalls runs one evaluation on a fresh catalog over in and returns
+// the answer, the source calls of every plan step, per rule, and the
+// bindings all steps emitted. The per-step counts must add up to the
+// catalog's metered calls.
+func stepCalls(t *testing.T, q Query, ps *PatternSet, in *engine.Instance, eval func(*Catalog) (*Rel, ExecProfile, error)) (*Rel, [][]int, int) {
+	t.Helper()
+	cat := in.MustCatalog(ps)
+	rel, prof, err := eval(cat)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	calls, total, bindings := make([][]int, len(prof.Rules)), 0, 0
+	for i, r := range prof.Rules {
+		for _, sp := range r.Steps {
+			calls[i] = append(calls[i], sp.Calls)
+			total += sp.Calls
+			bindings += sp.BindingsOut
+		}
+	}
+	if metered := cat.TotalStats().Calls; metered != total {
+		t.Fatalf("%s: profile counts %d calls, catalog metered %d", q, total, metered)
+	}
+	return rel, calls, bindings
+}
+
+// execEval is an Exec-based evaluation for stepCalls.
+func execEval(q Query, ps *PatternSet, opts ...ExecOption) func(*Catalog) (*Rel, ExecProfile, error) {
+	return func(cat *Catalog) (*Rel, ExecProfile, error) {
+		res, err := Exec(context.Background(), q, ps, cat, append(opts, WithProfile())...)
+		if err != nil {
+			return nil, ExecProfile{}, err
+		}
+		rel, err := res.Rel()
+		prof, _ := res.Profile()
+		return rel, prof, err
+	}
+}
+
+// Dead-variable-heavy plans: a wide variable pool, one head variable,
+// and many facts over a three-value domain, so most bindings differ
+// only in variables no later step reads and the columnar evaluator
+// collapses them. Every columnar path — materialized, parallel rules,
+// and streamed with batches of 1 and 3 so duplicates straddle batch
+// boundaries — must match the map evaluator byte for byte: the same
+// rows in the same insertion order, and the same source calls in every
+// plan step. Without deduplication (SequentialRuntime) nothing
+// collapses and every binding pays its own calls, as in the map path.
+func TestLiveCollapseMatchesMapEvaluator(t *testing.T) {
+	g := workload.New(1307)
+	s := g.Schema(4, 2, 3)
+	ps := g.Patterns(s, 0.3, 2)
+	cfg := workload.QueryConfig{PosLits: 3, NegLits: 1, VarPool: 8, ConstProb: 0.05, HeadVars: 1, DomainSize: 3}
+	mapRT := NewRuntime()
+	mapRT.MapEval = true
+	colRT := NewRuntime()
+	seqMapRT := SequentialRuntime()
+	seqMapRT.MapEval = true
+	seqColRT := SequentialRuntime()
+	tested, collapsed := 0, 0
+	for i := 0; i < 200; i++ {
+		u := g.UCQ(s, 2, cfg)
+		q, ok := Reorder(u, ps)
+		if !ok {
+			continue
+		}
+		in := engine.NewInstance()
+		if err := in.LoadFacts(g.Facts(s, 40, 3)); err != nil {
+			t.Fatal(err)
+		}
+		paths := []struct {
+			name string
+			eval func(*Catalog) (*Rel, ExecProfile, error)
+		}{
+			{"columnar", execEval(q, ps, WithRuntime(colRT))},
+			{"parallel-rules", func(cat *Catalog) (*Rel, ExecProfile, error) {
+				// Exec does not profile materialized parallel rules.
+				rel, prof, _, err := colRT.Eval(context.Background(), q, ps, cat, engine.EvalOpts{Parallel: true, Profile: true})
+				return rel, prof, err
+			}},
+			{"streamed/batch=1", execEval(q, ps, WithRuntime(colRT), WithStreaming(), WithBatchSize(1))},
+			{"streamed/batch=3", execEval(q, ps, WithRuntime(colRT), WithStreaming(), WithBatchSize(3))},
+		}
+		want, wantCalls, mapBindings := stepCalls(t, q, ps, in, execEval(q, ps, WithRuntime(mapRT)))
+		for _, p := range paths {
+			got, calls, bindings := stepCalls(t, q, ps, in, p.eval)
+			if p.name == "columnar" && bindings < mapBindings {
+				collapsed++
+			}
+			if !sameRowsInOrder(got, want) {
+				t.Fatalf("%s diverges on\n%s\ngot: %s\nmap: %s", p.name, q, got, want)
+			}
+			if fmt.Sprint(calls) != fmt.Sprint(wantCalls) {
+				t.Fatalf("%s per-step calls on\n%s\ngot %v, map %v", p.name, q, calls, wantCalls)
+			}
+		}
+		seqWant, seqWantCalls, _ := stepCalls(t, q, ps, in, execEval(q, ps, WithRuntime(seqMapRT)))
+		seqGot, seqCalls, _ := stepCalls(t, q, ps, in, execEval(q, ps, WithRuntime(seqColRT)))
+		if !sameRowsInOrder(seqGot, seqWant) || fmt.Sprint(seqCalls) != fmt.Sprint(seqWantCalls) {
+			t.Fatalf("without dedup on\n%s\ncolumnar %s calls %v\nmap      %s calls %v", q, seqGot, seqCalls, seqWant, seqWantCalls)
+		}
+		tested++
+	}
+	if tested < 100 || collapsed < 50 {
+		t.Errorf("only %d cases engaged, %d with collapsed bindings", tested, collapsed)
+	}
+}
